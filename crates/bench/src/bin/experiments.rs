@@ -1778,6 +1778,12 @@ fn service_perf() {
     let sf = svc.stats();
     assert_eq!(sf.searches, 1, "one key must cost one search: {sf:?}");
     assert_eq!(sf.completed, sf_clients as u64, "{sf:?}");
+    let sf_pc = svc.plan_cache_stats();
+    assert_eq!(
+        sf_pc.hits + sf_pc.misses + sf.coalesced,
+        sf.submitted,
+        "every request is a plan-cache hit, miss or coalesced follower: {sf_pc:?} {sf:?}"
+    );
     assert!(
         sf_plans.iter().all(|p| *p == sf_plans[0]),
         "coalesced plans diverged"

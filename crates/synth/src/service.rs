@@ -368,9 +368,15 @@ struct SearchFlight {
 }
 
 /// A point-in-time snapshot of a service's request accounting
-/// ([`Service::stats`]). `submitted = admitted + shed_overloaded +
-/// shed_deadline` once the service is quiescent; `admitted =
-/// completed + failed` likewise.
+/// ([`Service::stats`]). Once the service is quiescent:
+///
+/// - `submitted = admitted + shed_overloaded + shed_deadline`;
+/// - `admitted = completed + failed`;
+/// - with plan caching on, every admitted request is exactly one of a
+///   plan-cache hit, a plan-cache miss, or a coalesced follower (which
+///   never touches the cache): `hits + misses + coalesced = admitted`,
+///   with `hits`/`misses` from [`Service::plan_cache_stats`]. When
+///   nothing was shed, that is `submitted`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests that entered [`Service::compile`].

@@ -211,6 +211,62 @@ fn call_arity_is_checked() {
     );
 }
 
+#[test]
+fn in_kernel_panic_is_caught_and_typed() {
+    if !rustc_available() {
+        eprintln!("SKIP in_kernel_panic_is_caught_and_typed: no rustc on host");
+        return;
+    }
+    let n = 8;
+    let a = Csr::from_triplets(&triplets(n));
+    let k = compile_mvm(a.format_view());
+    let store = scratch_store("panic");
+    let loaded = k.load_in(&store).expect("loads");
+    let panicked = |r: Result<(), bernoulli_synth::KernelCallError>| {
+        matches!(r, Err(bernoulli_synth::KernelCallError::Panicked))
+    };
+    // The marshaller checks operand kinds, not lengths: a short `x` makes
+    // the kernel's bounds-checked `x[j]` gather panic inside the library.
+    let short_x = vec![1.0; n / 2];
+    let mut y = vec![0.0; n];
+    let mut args = [
+        KernelArg::Csr(&a),
+        KernelArg::In(&short_x),
+        KernelArg::Out(&mut y),
+    ];
+    let r = loaded.run(&[n as i64, n as i64], &mut args);
+    assert!(panicked(r.clone()), "{r:?}");
+    // So does a row band past the matrix's last row.
+    let x = vec![1.0; n];
+    let mut args = [
+        KernelArg::Csr(&a),
+        KernelArg::In(&x),
+        KernelArg::Out(&mut y),
+    ];
+    let r = loaded.run_range(&[n as i64, n as i64], &mut args, 0, n as i64 + 3);
+    assert!(panicked(r.clone()), "{r:?}");
+    // A caught panic is the caller's bad input, not a bad artifact: the
+    // kernel is not quarantined and keeps serving well-formed calls.
+    assert!(!store.is_quarantined(loaded.artifact_path()));
+    let mut y = vec![0.0; n];
+    let mut args = [
+        KernelArg::Csr(&a),
+        KernelArg::In(&x),
+        KernelArg::Out(&mut y),
+    ];
+    loaded
+        .run(&[n as i64, n as i64], &mut args)
+        .expect("healthy call");
+    let row_sums: Vec<f64> = (0..n)
+        .map(|i| {
+            a.values[a.rowptr[i]..a.rowptr[i + 1]]
+                .iter()
+                .fold(0.0, |s, v| s + v)
+        })
+        .collect();
+    assert_eq!(y, row_sums);
+}
+
 /// Tests below mutate or depend on the process-wide validation switch
 /// and memo; they serialize on this lock so the cargo test harness's
 /// thread pool cannot interleave them.

@@ -75,6 +75,12 @@ fn sixteen_cold_compiles_share_one_search_and_one_build() {
         stats.coalesced <= (CLIENTS - 1) as u64,
         "coalesced cannot exceed the follower count: {stats:?}"
     );
+    let pc = service.plan_cache_stats();
+    assert_eq!(
+        pc.hits + pc.misses + stats.coalesced,
+        stats.submitted,
+        "every request is a plan-cache hit, miss or coalesced follower: {pc:?} {stats:?}"
+    );
 
     // Determinism: all 16 kernels emit byte-identical source.
     let reference = kernels[0].emit("mvm_kernel").expect("emits");
