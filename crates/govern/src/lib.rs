@@ -1,6 +1,6 @@
 //! Resource governance for the Bernoulli compiler: compute budgets,
-//! wall-clock deadlines, cooperative cancellation, and (feature-gated)
-//! fault injection for chaos testing.
+//! wall-clock deadlines, cooperative cancellation, single-flight
+//! coalescing, and (feature-gated) fault injection for chaos testing.
 //!
 //! The polyhedral decision procedures at the heart of synthesis
 //! (Fourier–Motzkin elimination, Farkas projection) have worst-case
@@ -20,6 +20,9 @@
 //!   thread-local so concurrent compiles never govern each other; the
 //!   search layer re-installs the submitting thread's budget inside
 //!   every pool job it fans out.
+//! - [`flight`] — keyed single-flight coalescing: concurrent callers of
+//!   one key share one computation (the compile service's searches,
+//!   the kernel cache's `rustc` builds).
 //! - [`faults`] — named fault-injection sites (panic / delay / budget
 //!   starvation), compiled to no-ops unless the `faults` feature is on.
 //!
@@ -302,6 +305,159 @@ pub fn check() -> Result<(), BudgetError> {
     }
 }
 
+/// Keyed single-flight coalescing: concurrent callers of one key share
+/// one computation. The first caller for a key leads and computes;
+/// callers arriving while it runs follow and wait for what the leader
+/// publishes. Policy stays with the caller: a leader may decline to
+/// share its result, and a follower decides what an abandoned flight or
+/// an expired wait means for it.
+pub mod flight {
+    use std::collections::HashMap;
+    use std::hash::Hash;
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+    use std::time::Instant;
+
+    /// How a [`Flights::run`] call ended.
+    pub enum Flown<R, V> {
+        /// This caller led and computed `R`.
+        Led(R),
+        /// Another caller led and published `V`.
+        Shared(V),
+        /// The leader declined to share or unwound; the flight is over
+        /// and the next caller for the key leads a new one.
+        Abandoned,
+        /// The deadline passed while following.
+        TimedOut,
+    }
+
+    enum State<V> {
+        Pending,
+        Done(V),
+        Abandoned,
+    }
+
+    struct Flight<V> {
+        state: Mutex<State<V>>,
+        cv: Condvar,
+    }
+
+    /// Poison-tolerant lock: flight state is only ever replaced whole.
+    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+        m.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The in-flight computations, one per key.
+    pub struct Flights<K, V> {
+        map: Mutex<HashMap<K, Arc<Flight<V>>>>,
+    }
+
+    impl<K, V> Default for Flights<K, V> {
+        fn default() -> Flights<K, V> {
+            Flights {
+                map: Mutex::new(HashMap::new()),
+            }
+        }
+    }
+
+    /// Ends the leader's flight when dropped — also when the leader
+    /// unwinds, so followers are never wedged on a dead flight.
+    struct End<'a, K: Eq + Hash, V> {
+        flights: &'a Flights<K, V>,
+        key: &'a K,
+        flight: &'a Arc<Flight<V>>,
+        registered: bool,
+        outcome: State<V>,
+    }
+
+    impl<K: Eq + Hash, V> End<'_, K, V> {
+        /// Takes the flight out of the map and says whether anyone
+        /// follows it. No caller can join it afterwards, so every other
+        /// reference to it is a waiting follower's.
+        fn unregister(&mut self) -> bool {
+            if self.registered {
+                lock(&self.flights.map).remove(self.key);
+                self.registered = false;
+            }
+            Arc::strong_count(self.flight) > 1
+        }
+    }
+
+    impl<K: Eq + Hash, V> Drop for End<'_, K, V> {
+        fn drop(&mut self) {
+            self.unregister();
+            let outcome = std::mem::replace(&mut self.outcome, State::Abandoned);
+            *lock(&self.flight.state) = outcome;
+            self.flight.cv.notify_all();
+        }
+    }
+
+    impl<K: Eq + Hash + Clone, V: Clone> Flights<K, V> {
+        /// Callers currently following the flight for `key`.
+        #[cfg(test)]
+        pub(crate) fn followers(&self, key: &K) -> usize {
+            // One reference is the map's and one the leader's.
+            lock(&self.map)
+                .get(key)
+                .map_or(0, |f| Arc::strong_count(f) - 2)
+        }
+
+        /// Leads the flight for `key` if none is in progress — runs
+        /// `lead` for this caller's result, then, only if followers are
+        /// waiting, `share` for what to publish to them (`None` declines
+        /// to share) — or else follows the one that is, waiting until it
+        /// ends or `deadline` passes.
+        pub fn run<R>(
+            &self,
+            key: &K,
+            deadline: Option<Instant>,
+            lead: impl FnOnce() -> R,
+            share: impl FnOnce(&R) -> Option<V>,
+        ) -> Flown<R, V> {
+            let mut map = lock(&self.map);
+            let Some(flight) = map.get(key).cloned() else {
+                let flight = Arc::new(Flight {
+                    state: Mutex::new(State::Pending),
+                    cv: Condvar::new(),
+                });
+                map.insert(key.clone(), Arc::clone(&flight));
+                drop(map);
+                let mut end = End {
+                    flights: self,
+                    key,
+                    flight: &flight,
+                    registered: true,
+                    outcome: State::Abandoned,
+                };
+                let mine = lead();
+                if end.unregister() {
+                    end.outcome = share(&mine).map_or(State::Abandoned, State::Done);
+                }
+                return Flown::Led(mine);
+            };
+            drop(map);
+            let mut state = lock(&flight.state);
+            loop {
+                match &*state {
+                    State::Done(v) => return Flown::Shared(v.clone()),
+                    State::Abandoned => return Flown::Abandoned,
+                    State::Pending => {}
+                }
+                state = match deadline {
+                    None => flight.cv.wait(state).unwrap_or_else(|e| e.into_inner()),
+                    Some(d) => {
+                        let now = Instant::now();
+                        if now >= d {
+                            return Flown::TimedOut;
+                        }
+                        let waited = flight.cv.wait_timeout(state, d - now);
+                        waited.unwrap_or_else(|e| e.into_inner()).0
+                    }
+                };
+            }
+        }
+    }
+}
+
 /// Fault injection for chaos testing: named sites scattered through the
 /// pool, the polyhedral layer, and the search call [`faults::hit`]; a
 /// fault table (configured programmatically or via the
@@ -567,6 +723,59 @@ mod tests {
         let _g = install_scoped(None);
         charge(1_000_000).unwrap();
         check().unwrap();
+    }
+
+    #[test]
+    fn flight_followers_share_the_leader_result_or_see_it_abandoned() {
+        use flight::{Flights, Flown};
+        use std::sync::Barrier;
+        let flights: Flights<&str, u32> = Flights::default();
+        let joined = Barrier::new(2);
+        // The leader shares a value, declines to share, or unwinds.
+        for publish in [Some(Some(7)), Some(None), None] {
+            std::thread::scope(|s| {
+                let leader = s.spawn(|| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let lead = || {
+                            joined.wait();
+                            while flights.followers(&"k") == 0 {
+                                std::thread::yield_now();
+                            }
+                            1
+                        };
+                        flights.run(&"k", None, lead, |_| publish.expect("leader unwinds"))
+                    }))
+                });
+                joined.wait();
+                let seen = flights.run(&"k", None, || 0, |_| None);
+                match (publish, seen) {
+                    (Some(Some(v)), Flown::Shared(got)) => assert_eq!(got, v),
+                    (Some(None) | None, Flown::Abandoned) => {}
+                    _ => panic!("follower saw the wrong outcome for {publish:?}"),
+                }
+                let led = leader.join().unwrap();
+                assert_eq!(led.is_ok(), publish.is_some());
+            });
+            // The flight is over: the next caller leads a new one, and
+            // with nobody following it shares nothing.
+            let next = flights.run(&"k", None, || 2, |_| unreachable!("no follower"));
+            assert!(matches!(next, Flown::Led(2)));
+        }
+    }
+
+    #[test]
+    fn flight_follower_deadline_times_out() {
+        use flight::{Flights, Flown};
+        let flights: Flights<&str, u32> = Flights::default();
+        let deadline = Instant::now() + Duration::from_millis(10);
+        let lead = || {
+            let waited = flights.run(&"k", Some(deadline), || 0, |_| None);
+            assert!(matches!(waited, Flown::TimedOut));
+            1
+        };
+        let led = flights.run(&"k", None, lead, |_| None);
+        assert!(matches!(led, Flown::Led(1)));
+        assert!(Instant::now() >= deadline);
     }
 
     #[test]

@@ -54,11 +54,12 @@
 //! `kernel.dlopen` sites of [`bernoulli_govern::faults`] inject typed
 //! failures into the build and load paths for chaos testing.
 
+use bernoulli_govern::flight::{Flights, Flown};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Environment variable overriding the `rustc` binary used for kernel
@@ -296,14 +297,9 @@ fn verified() -> &'static Mutex<HashSet<PathBuf>> {
 }
 
 /// One in-flight build per artifact path (single-flight coalescing).
-struct Flight {
-    state: Mutex<Option<Result<(), KernelCacheError>>>,
-    cv: Condvar,
-}
-
-fn flights() -> &'static Mutex<HashMap<PathBuf, Arc<Flight>>> {
-    static F: OnceLock<Mutex<HashMap<PathBuf, Arc<Flight>>>> = OnceLock::new();
-    F.get_or_init(|| Mutex::new(HashMap::new()))
+fn flights() -> &'static Flights<PathBuf, Result<(), KernelCacheError>> {
+    static F: OnceLock<Flights<PathBuf, Result<(), KernelCacheError>>> = OnceLock::new();
+    F.get_or_init(Flights::default)
 }
 
 /// Per-directory circuit-breaker state (process-wide: stores are cheap
@@ -642,61 +638,20 @@ impl KernelStore {
         source: &str,
         path: &Path,
     ) -> Result<(), KernelCacheError> {
-        let (flight, leader) = {
-            let mut map = lock(flights());
-            match map.get(path) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(Flight {
-                        state: Mutex::new(None),
-                        cv: Condvar::new(),
-                    });
-                    map.insert(path.to_path_buf(), Arc::clone(&f));
-                    (f, true)
-                }
-            }
+        let build = || self.build(key, source, path);
+        let flown = flights().run(&path.to_path_buf(), None, build, |r| Some(r.clone()));
+        let shared = match flown {
+            Flown::Led(result) => return result,
+            Flown::Shared(result) => result,
+            // No deadline, and this leader always shares: the flight
+            // was abandoned by a leader unwinding out of `build`.
+            Flown::Abandoned | Flown::TimedOut => Err(KernelCacheError::Io {
+                detail: "kernel build leader panicked".to_string(),
+            }),
         };
-        if !leader {
-            COALESCED.fetch_add(1, Ordering::Relaxed);
-            bernoulli_trace::counter!("kernel.builds_coalesced");
-            let mut state = lock(&flight.state);
-            while state.is_none() {
-                state = flight.cv.wait(state).unwrap_or_else(|e| e.into_inner());
-            }
-            return state.clone().expect("flight state set before notify");
-        }
-        // Leader. The guard guarantees followers are released (with an
-        // error) even if build() panics.
-        struct FlightGuard<'a> {
-            flight: &'a Flight,
-            path: &'a Path,
-            done: bool,
-        }
-        impl FlightGuard<'_> {
-            fn publish(&mut self, r: Result<(), KernelCacheError>) {
-                lock(flights()).remove(self.path);
-                *lock(&self.flight.state) = Some(r);
-                self.flight.cv.notify_all();
-                self.done = true;
-            }
-        }
-        impl Drop for FlightGuard<'_> {
-            fn drop(&mut self) {
-                if !self.done {
-                    self.publish(Err(KernelCacheError::Io {
-                        detail: "kernel build leader panicked".to_string(),
-                    }));
-                }
-            }
-        }
-        let mut guard = FlightGuard {
-            flight: &flight,
-            path,
-            done: false,
-        };
-        let result = self.build(key, source, path);
-        guard.publish(result.clone());
-        result
+        COALESCED.fetch_add(1, Ordering::Relaxed);
+        bernoulli_trace::counter!("kernel.builds_coalesced");
+        shared
     }
 
     /// Builds with breaker short-circuit, bounded retry with backoff

@@ -69,11 +69,7 @@ pub use emit::{emit_module, emit_rust, emit_rust_ranged, range_splittable, EmitE
 pub use interp::{run_plan, ExecEnv, PlanError, RunStats};
 pub use persist::{PersistStats, PersistentPlanCache, DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES};
 pub use plan::{Plan, Step};
-pub use search::{
-    plan_cache_clear, plan_cache_stats, synthesize, synthesize_all, synthesize_all_report,
-    synthesize_all_with_pool, Candidate, PlanCacheStats, SearchReport, SynthError, SynthOptions,
-    Synthesized,
-};
+pub use search::{Candidate, PlanCacheStats, SearchReport, SynthError, SynthOptions};
 pub use service::{
     Admission, AdmissionPermit, CacheMode, Service, ServiceConfig, ServiceError, ServiceStats,
 };

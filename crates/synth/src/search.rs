@@ -1,5 +1,7 @@
 //! The synthesis driver: search over configurations, dimension orders,
-//! embeddings and enumeration sources (paper §4.2–4.3).
+//! embeddings and enumeration sources (paper §4.2–4.3). Its one caller
+//! is the compile core, [`Session`](crate::session::Session), which
+//! supplies the pool, the caches and the budget.
 //!
 //! Since S34 the driver is built for speed without giving up
 //! reproducibility:
@@ -22,9 +24,10 @@
 //!   never updated across pool threads, because a live global bound
 //!   would prune differently depending on thread timing and break
 //!   determinism.
-//! - **Plan cache** — whole-search results are memoized by (program,
-//!   views, statistics, search knobs); repeated identical synthesis
-//!   requests return the ranked candidates without searching at all.
+//! - **Plan cache** — whole-search results are memoized per session by
+//!   (program, views, statistics, search knobs), optionally backed by an
+//!   on-disk tier; repeated identical synthesis requests return the
+//!   ranked candidates without searching at all.
 //!   The polyhedral layer underneath keeps its own memo caches
 //!   ([`bernoulli_polyhedra::cache`]), which also accelerate *cold*
 //!   searches that re-test structurally identical systems.
@@ -44,7 +47,7 @@ use bernoulli_ir::{analyze, Program};
 use bernoulli_pool::{Pool, PoolError};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Knobs bounding the search (paper §4.3 heuristics).
 #[derive(Clone, Debug)]
@@ -61,7 +64,7 @@ pub struct SynthOptions {
     pub include_iteration_centric: bool,
     /// Workload statistics for the cost model.
     pub stats: WorkloadStats,
-    /// Keep at most this many ranked candidates in `synthesize_all`.
+    /// Keep at most this many ranked candidates per compile.
     pub keep: usize,
     /// Fan the per-configuration work out over the shared worker pool.
     /// Candidates, `examined` and `pruned` are byte-identical to a
@@ -104,21 +107,8 @@ pub struct Candidate {
     pub safety_notes: Vec<String>,
 }
 
-/// The best plan plus search statistics.
-#[derive(Clone, Debug)]
-pub struct Synthesized {
-    pub plan: Plan,
-    pub cost: f64,
-    pub choices: Vec<(String, usize)>,
-    pub safety_notes: Vec<String>,
-    /// Total candidates that survived legality + zero checks.
-    pub legal_candidates: usize,
-    /// Total (config, order, embedding) triples examined.
-    pub examined: usize,
-}
-
-/// Everything [`synthesize_all_report`] learned: the ranked candidates
-/// plus the search accounting the benchmarks and experiments read.
+/// Everything one search learned: the ranked candidates plus the
+/// search accounting the benchmarks and experiments read.
 #[derive(Clone, Debug)]
 pub struct SearchReport {
     /// Surviving candidates, cheapest first (at most `opts.keep`).
@@ -274,70 +264,6 @@ impl From<crate::emit::EmitError> for SynthError {
     }
 }
 
-/// Synthesizes the best data-centric plan for the program with the given
-/// sparse-matrix views.
-pub fn synthesize(
-    p: &Program,
-    views: &[(&str, FormatView)],
-    opts: &SynthOptions,
-) -> Result<Synthesized, SynthError> {
-    let mut all = synthesize_all_report(p, views, opts)?;
-    let examined = all.examined;
-    let legal = all.candidates.len();
-    let best = all
-        .candidates
-        .drain(..)
-        .next()
-        .ok_or(SynthError::NoLegalPlan {
-            reasons: all.reasons,
-        })?;
-    Ok(Synthesized {
-        plan: best.plan,
-        cost: best.cost,
-        choices: best.choices,
-        safety_notes: best.safety_notes,
-        legal_candidates: legal,
-        examined,
-    })
-}
-
-/// Runs the full search and returns all surviving candidates ranked by
-/// estimated cost (plus the examined count and rejection reasons) — the
-/// raw material of the cost-model-validation experiment.
-#[allow(clippy::type_complexity)]
-pub fn synthesize_all(
-    p: &Program,
-    views: &[(&str, FormatView)],
-    opts: &SynthOptions,
-) -> Result<(Vec<Candidate>, usize, Vec<String>), SynthError> {
-    let r = synthesize_all_report(p, views, opts)?;
-    Ok((r.candidates, r.examined, r.reasons))
-}
-
-/// [`synthesize_all`] with the full [`SearchReport`]. Honors
-/// `opts.parallel` by running on the process-global pool.
-pub fn synthesize_all_report(
-    p: &Program,
-    views: &[(&str, FormatView)],
-    opts: &SynthOptions,
-) -> Result<SearchReport, SynthError> {
-    let pool = opts.parallel.then(Pool::global);
-    run_search(p, views, opts, pool, global_plan_cache(), None)
-}
-
-/// [`synthesize_all_report`] on a caller-supplied pool (ignores
-/// `opts.parallel`). The result is byte-identical for every pool size,
-/// including a sequential run — the determinism contract the
-/// `synth_search_parallel` suite enforces.
-pub fn synthesize_all_with_pool(
-    p: &Program,
-    views: &[(&str, FormatView)],
-    opts: &SynthOptions,
-    pool: &Pool,
-) -> Result<SearchReport, SynthError> {
-    run_search(p, views, opts, Some(pool), global_plan_cache(), None)
-}
-
 /// Rejection reasons are deduplicated and capped at this many entries.
 const MAX_REASONS: usize = 16;
 
@@ -404,11 +330,15 @@ fn catch_outcome(f: impl FnOnce() -> ConfigOutcome) -> Result<ConfigOutcome, Syn
     })
 }
 
+/// The search itself, behind the plan cache tiers. `key` is
+/// [`plan_cache_key`] of the request; the tiers are consulted and
+/// written only when `opts.cache_plans` is set.
 pub(crate) fn run_search(
     p: &Program,
-    views: &[(&str, FormatView)],
+    view_map: &HashMap<String, FormatView>,
     opts: &SynthOptions,
     pool: Option<&Pool>,
+    key: &str,
     cache: &PlanCache,
     persist: Option<&crate::persist::PersistentPlanCache>,
 ) -> Result<SearchReport, SynthError> {
@@ -416,24 +346,12 @@ pub(crate) fn run_search(
     bernoulli_trace::span!("synth.search");
     p.validate()?;
 
-    let key = opts.cache_plans.then(|| plan_cache_key(p, views, opts));
-    if let Some(k) = &key {
+    let key = opts.cache_plans.then_some(key);
+    if let Some(k) = key {
         if let Some(c) = cache.lock().get(k).cloned() {
             cache.hits.fetch_add(1, Ordering::Relaxed);
             bernoulli_trace::counter!("synth.plan_cache_hits");
-            // Only complete (never degraded) searches are cached, so a
-            // hit is a full result even if the current budget is spent.
-            return Ok(SearchReport {
-                candidates: c.candidates,
-                examined: c.examined,
-                pruned: c.pruned,
-                reasons: c.reasons,
-                plan_cache_hit: true,
-                plan_cache_disk_hit: false,
-                degraded: false,
-                budget: None,
-                skipped_configs: 0,
-            });
+            return Ok(c.into_hit(false));
         }
         cache.misses.fetch_add(1, Ordering::Relaxed);
         bernoulli_trace::counter!("synth.plan_cache_misses");
@@ -443,23 +361,8 @@ pub(crate) fn run_search(
         if let Some(ps) = persist {
             if let Some(c) = ps.load(k) {
                 bernoulli_trace::counter!("synth.plan_cache_disk_hits");
-                let mut g = cache.lock();
-                if g.len() >= PLAN_CACHE_CAP {
-                    g.clear();
-                }
-                g.insert(k.clone(), c.clone());
-                drop(g);
-                return Ok(SearchReport {
-                    candidates: c.candidates,
-                    examined: c.examined,
-                    pruned: c.pruned,
-                    reasons: c.reasons,
-                    plan_cache_hit: true,
-                    plan_cache_disk_hit: true,
-                    degraded: false,
-                    budget: None,
-                    skipped_configs: 0,
-                });
+                cache.insert(k, c.clone());
+                return Ok(c.into_hit(true));
             }
         }
     }
@@ -473,13 +376,9 @@ pub(crate) fn run_search(
     let budget = bernoulli_govern::current();
     let poly_ctx = bernoulli_polyhedra::cache_context();
 
-    let view_map: HashMap<String, FormatView> = views
-        .iter()
-        .map(|(n, v)| (n.to_string(), v.clone()))
-        .collect();
     let deps = analyze(p);
     let relaxable = relaxable_classes(p, &deps);
-    let configs = enumerate_configs(p, &view_map).map_err(SynthError::Config)?;
+    let configs = enumerate_configs(p, view_map).map_err(SynthError::Config)?;
     bernoulli_trace::counter!("synth.configs", configs.len());
 
     // One configuration's search, shared verbatim by the sequential and
@@ -558,12 +457,12 @@ pub(crate) fn run_search(
                     &emb,
                     &groups,
                     &leg.must_increase,
-                    &view_map,
+                    view_map,
                     &deps,
                     &relaxable,
                     opts.relax_reductions,
                 ) {
-                    match check_zero_safety(p, cfg, &plan, &view_map) {
+                    match check_zero_safety(p, cfg, &plan, view_map) {
                         Ok(notes) => {
                             bernoulli_trace::counter!("synth.plans_lowered");
                             let cost = estimate_cost(p, cfg, &plan, &opts.stats);
@@ -772,13 +671,9 @@ pub(crate) fn run_search(
             reasons: reasons.clone(),
         };
         if let Some(ps) = persist {
-            ps.store(&k, &entry, p, &view_map);
+            ps.store(k, &entry, p, view_map);
         }
-        let mut g = cache.lock();
-        if g.len() >= PLAN_CACHE_CAP {
-            g.clear();
-        }
-        g.insert(k, entry);
+        cache.insert(k, entry);
     }
     Ok(SearchReport {
         candidates: out,
@@ -804,12 +699,29 @@ pub(crate) struct CachedSearch {
     pub(crate) reasons: Vec<String>,
 }
 
+impl CachedSearch {
+    /// The report of a plan-cache hit (`disk`: from the persistent
+    /// tier). Only complete (never degraded) searches are cached, so a
+    /// hit is a full result even if the current budget is spent.
+    fn into_hit(self, disk: bool) -> SearchReport {
+        SearchReport {
+            candidates: self.candidates,
+            examined: self.examined,
+            pruned: self.pruned,
+            reasons: self.reasons,
+            plan_cache_hit: true,
+            plan_cache_disk_hit: disk,
+            degraded: false,
+            budget: None,
+            skipped_configs: 0,
+        }
+    }
+}
+
 /// Cached whole-search results; cleared wholesale when full.
 const PLAN_CACHE_CAP: usize = 128;
 
-/// One whole-search memo cache with hit/miss accounting. The crate
-/// keeps a process-global instance behind [`plan_cache_stats`] /
-/// [`plan_cache_clear`] for the free-function entry points; a
+/// One whole-search memo cache with hit/miss accounting. Each
 /// [`Session`](crate::session::Session) owns its own, making warm/cold
 /// behavior explicit per session.
 pub(crate) struct PlanCache {
@@ -836,6 +748,14 @@ impl PlanCache {
         }
     }
 
+    fn insert(&self, k: &str, v: CachedSearch) {
+        let mut g = self.lock();
+        if g.len() >= PLAN_CACHE_CAP {
+            g.clear();
+        }
+        g.insert(k.to_string(), v);
+    }
+
     pub(crate) fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -850,11 +770,6 @@ impl PlanCache {
     }
 }
 
-pub(crate) fn global_plan_cache() -> &'static PlanCache {
-    static C: OnceLock<PlanCache> = OnceLock::new();
-    C.get_or_init(PlanCache::new)
-}
-
 /// The cache key covers everything the search result depends on: the
 /// program, the views (sorted by name — map order is irrelevant), the
 /// workload statistics (f64s by bit pattern, maps sorted) and every
@@ -863,7 +778,7 @@ pub(crate) fn global_plan_cache() -> &'static PlanCache {
 /// it changes the `examined`/`pruned` accounting.
 pub(crate) fn plan_cache_key(
     p: &Program,
-    views: &[(&str, FormatView)],
+    views: &[(String, FormatView)],
     opts: &SynthOptions,
 ) -> String {
     let mut vs: Vec<String> = views.iter().map(|(n, v)| format!("{n}={v:?}")).collect();
@@ -904,8 +819,8 @@ pub(crate) fn plan_cache_key(
     )
 }
 
-/// Hit/miss totals of the whole-search plan cache (process lifetime, or
-/// since [`plan_cache_clear`]). Independent of the `trace` feature.
+/// Hit/miss totals of a session's whole-search plan cache (since it was
+/// created or last cleared). Independent of the `trace` feature.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     pub hits: u64,
@@ -922,29 +837,4 @@ impl PlanCacheStats {
             self.hits as f64 / total as f64
         }
     }
-}
-
-/// Current hit/miss totals of the *process-global* plan cache (the one
-/// the free-function entry points use; a
-/// [`Session`](crate::session::Session) owns its own cache and reports
-/// through [`Session::plan_cache_stats`](crate::session::Session::plan_cache_stats)).
-pub fn plan_cache_stats() -> PlanCacheStats {
-    global_plan_cache().stats()
-}
-
-/// Drops every cached search result of the process-global plan cache
-/// and zeroes its hit/miss counts.
-pub fn plan_cache_clear() {
-    global_plan_cache().clear();
-}
-
-/// Convenience for tests and examples: builds each candidate's
-/// one-paragraph description.
-pub fn describe_candidate(c: &Candidate) -> String {
-    let choices: Vec<String> = c
-        .choices
-        .iter()
-        .map(|(m, a)| format!("{m}:alt{a}"))
-        .collect();
-    format!("cost {:.1} [{}]\n{}", c.cost, choices.join(", "), c.plan)
 }

@@ -2,20 +2,18 @@
 //! calls from many threads multiplexed over one shared worker pool and
 //! shared caches (S38).
 //!
-//! Where a [`Session`](crate::session::Session) is a single-tenant
-//! driver — one caller, one cache lineage, compiles issued one at a
-//! time — a [`Service`] is built to be shared: it is `Send + Sync`,
+//! A [`Service`] wraps one [`Session`] — the compile core that owns the
+//! pool, the plan cache and the polyhedral caches, and arms each
+//! compile's budget — and is built to be shared: it is `Send + Sync`,
 //! wrap it in an `Arc` and hand clones to as many client threads as
-//! you like. Three concerns separate it from a session:
+//! you like. On top of the session it adds:
 //!
-//! 1. **Shared cache tiers.** All requests share the service's
-//!    whole-search plan cache and (by default) read through to the
-//!    process-wide polyhedral memo tier
-//!    ([`bernoulli_polyhedra::shared_tier`]); per-request
-//!    [`CacheMode`] selects overlay or full isolation instead.
-//!    Optionally a *persistent* plan cache
-//!    ([`PersistentPlanCache`])
-//!    warm-starts searches across process restarts.
+//! 1. **Cache tiers.** All requests share the session's whole-search
+//!    plan cache, optionally backed by a *persistent* plan cache
+//!    ([`PersistentPlanCache`](crate::persist::PersistentPlanCache))
+//!    that warm-starts searches across process restarts. [`CacheMode`]
+//!    picks the polyhedral memo caches: the process-wide tier
+//!    ([`bernoulli_polyhedra::shared_tier`]) or the service's own.
 //! 2. **Admission control.** In-flight compiles are bounded
 //!    ([`ServiceConfig::max_inflight`]); excess requests wait in a
 //!    strict FIFO queue of bounded depth ([`ServiceConfig::max_queue`]).
@@ -24,11 +22,11 @@
 //!    with [`ServiceError::QueueDeadline`] rather than admitted late.
 //!    FIFO tickets make admission fair: no request can starve behind
 //!    later arrivals.
-//! 3. **Per-request budgets.** Each admitted compile arms a fresh
-//!    [`Budget`] from the *remaining* deadline (queue wait is charged
-//!    against the request, not forgiven) plus the configured op
-//!    ceiling, so one adversarial program degrades itself instead of
-//!    the tenancy.
+//! 3. **Per-request budgets.** The session arms each admitted compile
+//!    a fresh [`Budget`](bernoulli_govern::Budget) from the *remaining*
+//!    deadline (queue wait is charged against the request, not
+//!    forgiven) plus the configured op ceiling, so one adversarial
+//!    program degrades itself instead of the tenancy.
 //! 4. **Single-flight coalescing.** Concurrent compiles of the same
 //!    plan-cache key share one search (and hence one kernel build
 //!    downstream): the first request leads, the rest wait and receive
@@ -41,42 +39,34 @@
 //! same compiles run sequentially on a fresh session (the concurrency
 //! suite in `tests/` holds this). Nothing on these paths panics.
 
-use crate::persist::{PersistStats, PersistentPlanCache};
-use crate::search::{
-    plan_cache_key, run_search, PlanCache, PlanCacheStats, SearchReport, SynthError, SynthOptions,
-};
-use crate::session::{bind_problem, BoundProblem, CompiledKernel, DepReport};
+use crate::persist::PersistStats;
+use crate::search::{PlanCacheStats, SynthError, SynthOptions};
+use crate::session::{BoundProblem, CompiledKernel, DepReport, Session};
 use bernoulli_formats::view::FormatView;
-use bernoulli_govern::Budget;
-use bernoulli_ir::{analyze, parse_program, Program};
-use bernoulli_polyhedra::PolyCaches;
-use bernoulli_pool::Pool;
-use std::collections::{BTreeSet, HashMap};
+use bernoulli_govern::flight::{Flights, Flown};
+use bernoulli_ir::Program;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// How a request's polyhedral decision-procedure lookups relate to the
-/// process-wide memo tier. (The whole-search *plan* cache is always
-/// service-shared; this mode governs the fine-grained polyhedral memos
-/// only.)
+/// Which polyhedral memo caches the service's compiles use. (The
+/// whole-search *plan* cache always belongs to the service; this mode
+/// governs the fine-grained polyhedral memos only.) Both modes give
+/// identical compiler output; only hit rates differ.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CacheMode {
-    /// Read and write the process-wide shared tier directly (the
-    /// default). Maximum reuse across tenants; safe because cached
-    /// decisions are keyed by canonicalized constraint systems and are
+    /// Read and write the process-wide shared tier (the default).
+    /// Maximum reuse across tenants; safe because cached decisions are
+    /// keyed by canonicalized constraint systems and are
     /// input-deterministic.
     #[default]
     Shared,
-    /// Look in the service's private overlay first, fall through to
-    /// the shared tier on miss (backfilling the overlay), and write
-    /// new results through to both. Keeps a hot working set local
-    /// while still profiting from — and contributing to — the tier.
-    Overlay,
-    /// A fresh, fully private cache instance for this request alone;
-    /// nothing read from or written to the shared tier. For tenants
-    /// that must not observe cross-tenant cache effects at all.
+    /// Caches private to this service instance, exactly as a
+    /// [`Session`] has; nothing read from or written to the shared
+    /// tier. For tenants that must not observe cross-tenant cache
+    /// effects.
     Isolated,
 }
 
@@ -92,7 +82,7 @@ pub struct ServiceConfig {
     /// included). `None`: wait and search without time limit.
     pub default_deadline: Option<Duration>,
     /// Per-compile ceiling on abstract polyhedral operations (see
-    /// [`Budget::with_max_ops`]).
+    /// [`Budget::with_max_ops`](bernoulli_govern::Budget::with_max_ops)).
     pub op_budget: Option<u64>,
     /// `Some(n)`: the service owns a private `n`-thread worker pool.
     /// `None`: searches fan out on the process-global pool.
@@ -326,12 +316,6 @@ impl Admission {
     }
 }
 
-/// Which worker pool the service fans searches out over.
-enum ServicePool {
-    Shared,
-    Owned(Arc<Pool>),
-}
-
 /// Monotonic request accounting, all updated lock-free.
 #[derive(Default)]
 struct Counters {
@@ -343,28 +327,7 @@ struct Counters {
     shed_deadline: AtomicU64,
     degraded: AtomicU64,
     peak_inflight: AtomicU64,
-    searches: AtomicU64,
     coalesced: AtomicU64,
-}
-
-/// The outcome a search leader publishes to its followers.
-#[derive(Clone)]
-enum FlightState {
-    /// The leader is still searching.
-    Pending,
-    /// The leader finished; followers take the shared (cloned) result.
-    Done(Result<SearchReport, SynthError>),
-    /// The leader's search degraded under *its own* budget — a
-    /// degraded result is never shared. Followers race to become the
-    /// next leader instead.
-    Retry,
-}
-
-/// One in-flight search per plan-cache key (single-flight coalescing):
-/// N concurrent compiles of the same key share one search.
-struct SearchFlight {
-    state: Mutex<FlightState>,
-    cv: Condvar,
 }
 
 /// A point-in-time snapshot of a service's request accounting
@@ -397,18 +360,14 @@ pub struct ServiceStats {
     pub degraded: u64,
     /// High-water mark of concurrent in-flight compiles.
     pub peak_inflight: u64,
-    /// Genuine searches executed: `run_search` calls that neither hit
-    /// a plan-cache tier nor were coalesced onto another request's
-    /// in-flight search.
+    /// Genuine searches executed: compiles that neither a plan-cache
+    /// tier served nor were coalesced onto another request's in-flight
+    /// search (counted by the service's session).
     pub searches: u64,
     /// Requests served by waiting on another request's in-flight
     /// search of the same plan-cache key (single-flight coalescing)
     /// instead of searching themselves.
     pub coalesced: u64,
-    /// `rustc` kernel builds since this service was created
-    /// (process-wide kernel-cache compiles, baselined at
-    /// [`Service::new`]).
-    pub kernel_builds: u64,
 }
 
 /// A `Send + Sync` compile server: wrap in an `Arc`, share across
@@ -416,40 +375,22 @@ pub struct ServiceStats {
 /// module docs for the tenancy model.
 pub struct Service {
     cfg: ServiceConfig,
-    pool: ServicePool,
-    plan_cache: PlanCache,
-    /// Service-private polyhedral overlay used by
-    /// [`CacheMode::Overlay`] requests.
-    overlay: Arc<PolyCaches>,
-    persist: Option<PersistentPlanCache>,
+    session: Session,
     admission: Admission,
     counters: Counters,
-    /// In-flight searches by plan-cache key (single-flight coalescing).
-    flights: Mutex<HashMap<String, Arc<SearchFlight>>>,
-    /// Process-wide kernel-cache compile count when this service was
-    /// created; [`ServiceStats::kernel_builds`] is the delta.
-    kc_compiles_at_start: u64,
+    /// In-flight compiles by plan-cache key (single-flight coalescing).
+    flights: Flights<String, Result<CompiledKernel, SynthError>>,
 }
 
 impl Service {
     /// A service with the given configuration.
     pub fn new(cfg: ServiceConfig) -> Service {
-        let pool = match cfg.threads {
-            Some(n) => ServicePool::Owned(Arc::new(Pool::new(n))),
-            None => ServicePool::Shared,
-        };
-        let persist = cfg.persist_dir.as_ref().map(PersistentPlanCache::new);
-        let admission = Admission::new(cfg.max_inflight, cfg.max_queue);
         Service {
-            cfg,
-            pool,
-            plan_cache: PlanCache::new(),
-            overlay: Arc::new(PolyCaches::new()),
-            persist,
-            admission,
+            session: Session::for_service(&cfg),
+            admission: Admission::new(cfg.max_inflight, cfg.max_queue),
             counters: Counters::default(),
-            flights: Mutex::new(HashMap::new()),
-            kc_compiles_at_start: bernoulli_kernel_cache::stats().compiles,
+            flights: Flights::default(),
+            cfg,
         }
     }
 
@@ -463,38 +404,31 @@ impl Service {
         &self.cfg
     }
 
-    /// Stage 1 — parse and semantically validate program text
-    /// (identical to [`Session::parse`](crate::session::Session::parse);
-    /// offered here so service clients need no session).
+    /// Stage 1 — [`Session::parse`].
     pub fn parse(&self, text: &str) -> Result<Program, SynthError> {
-        let p = parse_program(text)?;
-        p.validate()?;
-        Ok(p)
+        self.session.parse(text)
     }
 
-    /// Stage 2 — dependence analysis (paper §3).
+    /// Stage 2 — [`Session::analyze`].
     pub fn analyze(&self, p: &Program) -> DepReport {
-        DepReport {
-            classes: analyze(p),
-        }
+        self.session.analyze(p)
     }
 
-    /// Stage 3 — bind format views to sparse arrays, validated against
-    /// the program's declarations.
+    /// Stage 3 — [`Session::bind`].
     pub fn bind(
         &self,
         p: &Program,
         views: &[(&str, FormatView)],
     ) -> Result<BoundProblem, SynthError> {
-        bind_problem(p, views)
+        self.session.bind(p, views)
     }
 
     /// Structure-aware selection on the service: the multi-tenant
-    /// mirror of [`Session::advise`](crate::session::Session::advise).
-    /// Every candidate compile is a normal admitted request (counted,
-    /// queued, deadline-checked); a per-candidate synthesis failure
-    /// skips that format, while a service-level rejection (shed load,
-    /// expired queue deadline) aborts the whole advice.
+    /// mirror of [`Session::advise`]. Every candidate compile is a
+    /// normal admitted request (counted, queued, deadline-checked); a
+    /// per-candidate synthesis failure skips that format, while a
+    /// service-level rejection (shed load, expired queue deadline)
+    /// aborts the whole advice.
     pub fn advise(
         &self,
         p: &Program,
@@ -517,7 +451,7 @@ impl Service {
     /// deadline, and cache mode. Safe to call from many threads at
     /// once; admission control applies (see the module docs).
     pub fn compile(&self, problem: &BoundProblem) -> Result<CompiledKernel, ServiceError> {
-        self.compile_with(problem, &self.cfg.opts.clone(), self.cfg.default_deadline)
+        self.compile_with(problem, &self.cfg.opts, self.cfg.default_deadline)
     }
 
     /// [`compile`](Service::compile) with per-request option overrides
@@ -533,28 +467,19 @@ impl Service {
     ) -> Result<CompiledKernel, ServiceError> {
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let absolute = deadline.map(|d| Instant::now() + d);
-        let permit = match self.admission.acquire(absolute) {
-            Ok(p) => p,
-            Err(e) => {
-                match &e {
-                    ServiceError::Overloaded { .. } => {
-                        self.counters
-                            .shed_overloaded
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    ServiceError::QueueDeadline { .. } => {
-                        self.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ServiceError::Synth(_) => {}
-                }
-                return Err(e);
-            }
-        };
+        let permit = self.admission.acquire(absolute).inspect_err(|e| {
+            // Admission fails only by shedding: overload or queue deadline.
+            let shed = match e {
+                ServiceError::Overloaded { .. } => &self.counters.shed_overloaded,
+                _ => &self.counters.shed_deadline,
+            };
+            shed.fetch_add(1, Ordering::Relaxed);
+        })?;
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         self.counters
             .peak_inflight
             .fetch_max(self.admission.inflight() as u64, Ordering::Relaxed);
-        let result = self.run_admitted(problem, opts, absolute);
+        let result = self.compile_coalesced(problem, opts, absolute);
         drop(permit);
         match &result {
             Ok(k) => {
@@ -567,231 +492,56 @@ impl Service {
                 self.counters.failed.fetch_add(1, Ordering::Relaxed);
             }
         }
-        result
+        result.map_err(ServiceError::Synth)
     }
 
-    /// The admitted portion of a compile: arm the per-request budget,
-    /// install the request's cache view on this thread (the search
-    /// layer re-installs both on every pool worker), and search.
-    fn run_admitted(
+    /// Single-flight compile: concurrent requests for the same
+    /// plan-cache key share one compile. The first request in leads
+    /// and compiles on the session; followers wait and receive the
+    /// leader's kernel — or its typed error — cloned. A leader whose
+    /// search *degraded* under its own budget keeps the degraded kernel
+    /// for itself and declines to share it: followers race for
+    /// leadership again, as they do when a leader unwinds. A follower
+    /// whose deadline expires while waiting compiles itself under its
+    /// (expired) budget, so deadline accounting stays identical to the
+    /// sequential path. With plan caching off, requests for one key are
+    /// deliberately independent (load generators rely on this to
+    /// measure genuine search throughput).
+    fn compile_coalesced(
         &self,
         problem: &BoundProblem,
         opts: &SynthOptions,
-        absolute_deadline: Option<Instant>,
-    ) -> Result<CompiledKernel, ServiceError> {
-        // Budget from whatever deadline remains after queueing, plus
-        // the configured op ceiling. No limits configured: install
-        // nothing and pay zero governance overhead.
-        let remaining = absolute_deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        let budget = if remaining.is_some() || self.cfg.op_budget.is_some() {
-            let mut b = Budget::unlimited();
-            if let Some(r) = remaining {
-                b = b.with_deadline(r);
-            }
-            if let Some(ops) = self.cfg.op_budget {
-                b = b.with_max_ops(ops);
-            }
-            Some(Arc::new(b))
-        } else {
-            None
-        };
-        let _budget = budget.map(|b| bernoulli_govern::install_scoped(Some(b)));
-        let _poly = match self.cfg.cache_mode {
-            // No install: lookups on this thread (and, propagated, on
-            // the pool workers) go straight to the process-wide tier.
-            CacheMode::Shared => None,
-            CacheMode::Overlay => Some(bernoulli_polyhedra::install_overlay_scoped(Arc::clone(
-                &self.overlay,
-            ))),
-            CacheMode::Isolated => Some(bernoulli_polyhedra::install_scoped(Arc::new(
-                PolyCaches::new(),
-            ))),
-        };
-        let views: Vec<(&str, FormatView)> = problem
-            .views()
-            .iter()
-            .map(|(n, v)| (n.as_str(), v.clone()))
-            .collect();
-        let pool = match &self.pool {
-            ServicePool::Owned(p) => opts.parallel.then_some(&**p),
-            ServicePool::Shared => opts.parallel.then(Pool::global),
-        };
-        let cache_key = plan_cache_key(problem.program(), &views, opts);
-        let report = if opts.cache_plans {
-            self.search_coalesced(
-                &cache_key,
-                problem.program(),
-                &views,
-                opts,
-                pool,
-                absolute_deadline,
-            )?
-        } else {
-            // With plan caching off, requests for the same key are
-            // deliberately independent (load generators rely on this
-            // to measure genuine search throughput).
-            self.search_counted(problem.program(), &views, opts, pool)?
-        };
-        if report.candidates.is_empty() {
-            return Err(ServiceError::Synth(SynthError::NoLegalPlan {
-                reasons: report.reasons,
-            }));
-        }
-        Ok(CompiledKernel::from_parts(
-            problem.program().clone(),
-            problem.views().iter().cloned().collect(),
-            report,
-            cache_key,
-        ))
-    }
-
-    /// Runs a search and counts it in [`ServiceStats::searches`] when
-    /// it was a genuine search (not served by a plan-cache tier).
-    fn search_counted(
-        &self,
-        p: &Program,
-        views: &[(&str, FormatView)],
-        opts: &SynthOptions,
-        pool: Option<&Pool>,
-    ) -> Result<SearchReport, SynthError> {
-        let report = run_search(
-            p,
-            views,
-            opts,
-            pool,
-            &self.plan_cache,
-            self.persist.as_ref(),
-        )?;
-        if !report.plan_cache_hit && !report.plan_cache_disk_hit {
-            self.counters.searches.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(report)
-    }
-
-    /// Single-flight search: concurrent requests for the same
-    /// plan-cache key share one search. The first request in becomes
-    /// the *leader* and searches; followers wait on the flight and
-    /// receive the leader's result — or its typed error — cloned.
-    /// A leader whose search *degraded* under its own budget keeps the
-    /// degraded result for itself but never publishes it: followers
-    /// are woken to race for leadership instead. A follower whose
-    /// deadline expires while waiting falls back to its own search, so
-    /// deadline accounting stays identical to the sequential path.
-    fn search_coalesced(
-        &self,
-        key: &str,
-        p: &Program,
-        views: &[(&str, FormatView)],
-        opts: &SynthOptions,
-        pool: Option<&Pool>,
         deadline: Option<Instant>,
-    ) -> Result<SearchReport, SynthError> {
+    ) -> Result<CompiledKernel, SynthError> {
+        let key = problem.cache_key(opts);
+        let compile = |key: String| {
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            self.session.compile_keyed(problem, opts, key, remaining)
+        };
+        if !opts.cache_plans {
+            return compile(key);
+        }
         loop {
-            let (flight, leader) = {
-                let mut map = self.flights.lock().unwrap_or_else(|e| e.into_inner());
-                match map.get(key) {
-                    Some(f) => (Arc::clone(f), false),
-                    None => {
-                        let f = Arc::new(SearchFlight {
-                            state: Mutex::new(FlightState::Pending),
-                            cv: Condvar::new(),
-                        });
-                        map.insert(key.to_string(), Arc::clone(&f));
-                        (f, true)
-                    }
+            let flown = self.flights.run(
+                &key,
+                deadline,
+                || compile(key.clone()),
+                |result| match result {
+                    Ok(k) if k.report().degraded => None,
+                    other => Some(other.clone()),
+                },
+            );
+            match flown {
+                Flown::Led(result) => return result,
+                Flown::Shared(result) => {
+                    self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                    bernoulli_trace::counter!("service.searches_coalesced");
+                    return result;
                 }
-            };
-            if leader {
-                return self.lead_search(key, &flight, p, views, opts, pool);
-            }
-            let mut state = flight.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                match &*state {
-                    FlightState::Pending => {}
-                    FlightState::Done(shared) => {
-                        self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                        bernoulli_trace::counter!("service.searches_coalesced");
-                        return shared.clone();
-                    }
-                    FlightState::Retry => break,
-                }
-                match deadline {
-                    None => {
-                        state = flight.cv.wait(state).unwrap_or_else(|e| e.into_inner());
-                    }
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            // Waited out the deadline: search under our
-                            // own (expired) budget so the typed budget
-                            // error matches the sequential path.
-                            drop(state);
-                            return self.search_counted(p, views, opts, pool);
-                        }
-                        let (g, _) = flight
-                            .cv
-                            .wait_timeout(state, d - now)
-                            .unwrap_or_else(|e| e.into_inner());
-                        state = g;
-                    }
-                }
-            }
-            // Retry: the previous leader degraded. Race for leadership.
-        }
-    }
-
-    /// The leader half of [`search_coalesced`]: search, then publish.
-    /// The guard publishes `Retry` if the search panics, so followers
-    /// are never wedged on a dead flight.
-    fn lead_search(
-        &self,
-        key: &str,
-        flight: &Arc<SearchFlight>,
-        p: &Program,
-        views: &[(&str, FormatView)],
-        opts: &SynthOptions,
-        pool: Option<&Pool>,
-    ) -> Result<SearchReport, SynthError> {
-        struct Publish<'a> {
-            service: &'a Service,
-            key: &'a str,
-            flight: &'a SearchFlight,
-            done: bool,
-        }
-        impl Publish<'_> {
-            fn publish(&mut self, outcome: FlightState) {
-                self.service
-                    .flights
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(self.key);
-                *self.flight.state.lock().unwrap_or_else(|e| e.into_inner()) = outcome;
-                self.flight.cv.notify_all();
-                self.done = true;
+                Flown::TimedOut => return compile(key),
+                Flown::Abandoned => {}
             }
         }
-        impl Drop for Publish<'_> {
-            fn drop(&mut self) {
-                if !self.done {
-                    self.publish(FlightState::Retry);
-                }
-            }
-        }
-        let mut guard = Publish {
-            service: self,
-            key,
-            flight,
-            done: false,
-        };
-        let result = self.search_counted(p, views, opts, pool);
-        let outcome = match &result {
-            // A degraded result reflects *this* request's budget; it
-            // is never shared (followers re-search under their own).
-            Ok(r) if r.degraded => FlightState::Retry,
-            other => FlightState::Done(other.clone()),
-        };
-        guard.publish(outcome);
-        result
     }
 
     /// A point-in-time snapshot of the request accounting.
@@ -805,53 +555,37 @@ impl Service {
             shed_deadline: self.counters.shed_deadline.load(Ordering::Relaxed),
             degraded: self.counters.degraded.load(Ordering::Relaxed),
             peak_inflight: self.counters.peak_inflight.load(Ordering::Relaxed),
-            searches: self.counters.searches.load(Ordering::Relaxed),
+            searches: self.session.searches(),
             coalesced: self.counters.coalesced.load(Ordering::Relaxed),
-            kernel_builds: bernoulli_kernel_cache::stats()
-                .compiles
-                .saturating_sub(self.kc_compiles_at_start),
         }
     }
 
     /// Hit/miss totals of the service-shared whole-search plan cache.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_cache.stats()
+        self.session.plan_cache_stats()
     }
 
     /// Hit/miss/write totals of the persistent plan cache, if one is
     /// configured.
     pub fn persist_stats(&self) -> Option<PersistStats> {
-        self.persist.as_ref().map(|p| p.stats())
+        self.session.persist().map(|p| p.stats())
     }
 
-    /// Hit/miss totals of the service's private polyhedral overlay
-    /// (only populated by [`CacheMode::Overlay`] requests).
-    pub fn overlay_stats(&self) -> bernoulli_polyhedra::CacheStats {
-        self.overlay.stats()
-    }
-
-    /// The service's admission gate. Exposed so operators (and the
-    /// admission-control tests) can observe or occupy slots directly —
-    /// holding a permit from here deterministically forces subsequent
-    /// requests onto the queue/shed paths.
+    /// The service's admission gate: compiles running
+    /// ([`Admission::inflight`]) and waiting ([`Admission::queued`]).
+    /// Exposed so operators (and the admission-control tests) can
+    /// observe or occupy slots directly — holding a permit from here
+    /// deterministically forces subsequent requests onto the queue/shed
+    /// paths.
     pub fn admission(&self) -> &Admission {
         &self.admission
-    }
-
-    /// Compiles currently running.
-    pub fn inflight(&self) -> usize {
-        self.admission.inflight()
-    }
-
-    /// Requests currently waiting for admission.
-    pub fn queued(&self) -> usize {
-        self.admission.queued()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn assert_send_sync<T: Send + Sync>() {}
 

@@ -19,30 +19,30 @@
 //! a fresh session starts cold — no process-global state involved.
 //! Every failure a caller can trigger surfaces as a typed
 //! [`SynthError`]; nothing on these paths panics.
+//!
+//! The session is the one compile core:
+//! [`Service`](crate::service::Service) wraps a session and adds only
+//! admission control, request accounting and single-flight coalescing.
 
 use crate::compiled::{KernelArg, KernelBackend, LoadError, LoadedKernel};
 use crate::config::ConfigError;
 use crate::interp::{run_plan, ExecEnv, RunStats};
+use crate::persist::PersistentPlanCache;
 use crate::plan::Plan;
 use crate::search::{
-    run_search, Candidate, PlanCache, PlanCacheStats, SearchReport, SynthError, SynthOptions,
+    plan_cache_key, run_search, Candidate, PlanCache, PlanCacheStats, SearchReport, SynthError,
+    SynthOptions,
 };
+use crate::service::{CacheMode, ServiceConfig};
 use bernoulli_formats::view::FormatView;
 use bernoulli_govern::{Budget, CancelToken};
 use bernoulli_ir::{analyze, parse_program, ArrayKind, DepClass, Program};
 use bernoulli_polyhedra::PolyCaches;
 use bernoulli_pool::Pool;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// Which worker pool a session fans its searches out over.
-enum SessionPool {
-    /// The process-global pool (sized by `BERNOULLI_THREADS`).
-    Shared,
-    /// A pool this session owns.
-    Owned(Arc<Pool>),
-}
 
 /// A long-lived compiler object: create once, compile many kernels.
 ///
@@ -53,9 +53,18 @@ enum SessionPool {
 /// drops all of that state.
 pub struct Session {
     opts: SynthOptions,
-    pool: SessionPool,
+    /// A pool this session owns; `None` fans out on the process-global
+    /// pool (sized by `BERNOULLI_THREADS`).
+    pool: Option<Arc<Pool>>,
     plan_cache: PlanCache,
+    /// Optional on-disk plan-cache tier behind `plan_cache`.
+    persist: Option<PersistentPlanCache>,
+    /// Installed for every compile; the process-wide shared tier when a
+    /// [`Service`](crate::service::Service) runs in
+    /// [`CacheMode::Shared`](crate::service::CacheMode::Shared).
     poly_caches: Arc<PolyCaches>,
+    /// Compiles that ran a search (neither plan-cache tier served them).
+    searches: AtomicU64,
     /// Per-compile wall-clock limit (armed afresh at each `compile`).
     budget_deadline: Option<Duration>,
     /// Per-compile ceiling on abstract polyhedral operations.
@@ -76,9 +85,11 @@ impl Session {
     pub fn with_options(opts: SynthOptions) -> Session {
         Session {
             opts,
-            pool: SessionPool::Shared,
+            pool: None,
             plan_cache: PlanCache::new(),
+            persist: None,
             poly_caches: Arc::new(PolyCaches::new()),
+            searches: AtomicU64::new(0),
             budget_deadline: None,
             budget_ops: None,
             cancel: OnceLock::new(),
@@ -88,8 +99,24 @@ impl Session {
     /// Gives the session its own worker pool of `nthreads` threads
     /// instead of the shared one.
     pub fn with_threads(mut self, nthreads: usize) -> Session {
-        self.pool = SessionPool::Owned(Arc::new(Pool::new(nthreads)));
+        self.pool = Some(Arc::new(Pool::new(nthreads)));
         self
+    }
+
+    /// The session a [`Service`](crate::service::Service) wraps: the
+    /// configured options, pool and op ceiling, plus a persistent
+    /// plan-cache tier and the polyhedral caches `cfg.cache_mode` picks.
+    pub(crate) fn for_service(cfg: &ServiceConfig) -> Session {
+        Session {
+            pool: cfg.threads.map(|n| Arc::new(Pool::new(n))),
+            persist: cfg.persist_dir.as_ref().map(PersistentPlanCache::new),
+            poly_caches: match cfg.cache_mode {
+                CacheMode::Shared => Arc::clone(bernoulli_polyhedra::shared_tier()),
+                CacheMode::Isolated => Arc::new(PolyCaches::new()),
+            },
+            budget_ops: cfg.op_budget,
+            ..Session::with_options(cfg.opts.clone())
+        }
     }
 
     /// Caps each `compile` at `limit` of wall-clock time. When the
@@ -122,15 +149,16 @@ impl Session {
         self.cancel.get_or_init(CancelToken::new).clone()
     }
 
-    /// The budget a compile runs under, if any limit is configured. A
-    /// fresh [`Budget`] per compile: deadlines re-arm, op counts reset.
-    fn arm_budget(&self) -> Option<Arc<Budget>> {
+    /// The budget a compile with `deadline` runs under, if any limit is
+    /// configured. A fresh [`Budget`] per compile: deadlines re-arm, op
+    /// counts reset.
+    fn arm_budget(&self, deadline: Option<Duration>) -> Option<Arc<Budget>> {
         let cancel = self.cancel.get();
-        if self.budget_deadline.is_none() && self.budget_ops.is_none() && cancel.is_none() {
+        if deadline.is_none() && self.budget_ops.is_none() && cancel.is_none() {
             return None;
         }
         let mut b = Budget::unlimited();
-        if let Some(limit) = self.budget_deadline {
+        if let Some(limit) = deadline {
             b = b.with_deadline(limit);
         }
         if let Some(ops) = self.budget_ops {
@@ -186,7 +214,7 @@ impl Session {
     /// pool and caches, returning the ranked candidates as an
     /// executable/emit-able [`CompiledKernel`].
     pub fn compile(&self, problem: &BoundProblem) -> Result<CompiledKernel, SynthError> {
-        self.compile_with(problem, &self.opts.clone())
+        self.compile_with(problem, &self.opts)
     }
 
     /// [`compile`](Session::compile) with per-call option overrides
@@ -197,39 +225,54 @@ impl Session {
         problem: &BoundProblem,
         opts: &SynthOptions,
     ) -> Result<CompiledKernel, SynthError> {
-        // Route the polyhedral decision procedures through this
-        // session's memo caches for the duration of the search (the
-        // guard restores the previous instance even on panic).
+        self.compile_keyed(problem, opts, problem.cache_key(opts), self.budget_deadline)
+    }
+
+    /// The compile core behind [`Session::compile_with`] and
+    /// [`Service::compile_with`](crate::service::Service::compile_with):
+    /// installs this session's polyhedral caches and a budget armed
+    /// from `deadline`, the op ceiling and the cancel token (the guards
+    /// restore the previous installs even on panic), searches behind
+    /// the plan-cache tiers under `cache_key` (which must be
+    /// [`BoundProblem::cache_key`] of `opts`), and assembles the kernel.
+    pub(crate) fn compile_keyed(
+        &self,
+        problem: &BoundProblem,
+        opts: &SynthOptions,
+        cache_key: String,
+        deadline: Option<Duration>,
+    ) -> Result<CompiledKernel, SynthError> {
         let _poly = bernoulli_polyhedra::install_scoped(Arc::clone(&self.poly_caches));
-        // Arm a fresh budget for this compile when any limit is
-        // configured; an unlimited session installs nothing and pays
-        // zero governance overhead.
+        // An unlimited compile installs no budget and pays zero
+        // governance overhead.
         let _budget = self
-            .arm_budget()
+            .arm_budget(deadline)
             .map(|b| bernoulli_govern::install_scoped(Some(b)));
-        let views: Vec<(&str, FormatView)> = problem
-            .views
-            .iter()
-            .map(|(n, v)| (n.as_str(), v.clone()))
-            .collect();
-        let pool = match &self.pool {
-            SessionPool::Owned(p) => opts.parallel.then_some(&**p),
-            SessionPool::Shared => opts.parallel.then(Pool::global),
-        };
-        let report = run_search(&problem.program, &views, opts, pool, &self.plan_cache, None)?;
+        let pool = opts.parallel.then(|| match &self.pool {
+            Some(p) => &**p,
+            None => Pool::global(),
+        });
+        let view_map: HashMap<String, FormatView> = problem.views.iter().cloned().collect();
+        let report = run_search(
+            &problem.program,
+            &view_map,
+            opts,
+            pool,
+            &cache_key,
+            &self.plan_cache,
+            self.persist.as_ref(),
+        )?;
+        if !report.plan_cache_hit {
+            self.searches.fetch_add(1, Ordering::Relaxed);
+        }
         if report.candidates.is_empty() {
             return Err(SynthError::NoLegalPlan {
                 reasons: report.reasons,
             });
         }
-        // The same key the plan cache uses also names the kernel's
-        // on-disk artifact (plus ABI/toolchain salt added by the
-        // kernel store): identical compiles reload identical binaries,
-        // across processes.
-        let cache_key = crate::search::plan_cache_key(&problem.program, &views, opts);
         Ok(CompiledKernel {
             program: problem.program.clone(),
-            view_map: problem.views.iter().cloned().collect(),
+            view_map,
             report,
             cache_key,
         })
@@ -269,6 +312,16 @@ impl Session {
         self.poly_caches.stats()
     }
 
+    /// Compiles that ran a search: neither plan-cache tier served them.
+    pub(crate) fn searches(&self) -> u64 {
+        self.searches.load(Ordering::Relaxed)
+    }
+
+    /// The persistent plan-cache tier, if one is configured.
+    pub(crate) fn persist(&self) -> Option<&PersistentPlanCache> {
+        self.persist.as_ref()
+    }
+
     /// Drops every cached search result and polyhedral memo this
     /// session accumulated (cold-start measurements).
     pub fn clear_caches(&self) {
@@ -283,10 +336,9 @@ impl Default for Session {
     }
 }
 
-/// Stage-3 validation shared by [`Session::bind`] and
-/// [`crate::service::Service::bind`]: every bound name must be a
-/// declared array, and the view's dense rank must match the array kind
-/// (2 for matrices, 1 for vectors).
+/// Stage-3 validation behind [`Session::bind`] and the advisor: every
+/// bound name must be a declared array, and the view's dense rank must
+/// match the array kind (2 for matrices, 1 for vectors).
 pub(crate) fn bind_problem(
     p: &Program,
     views: &[(&str, FormatView)],
@@ -358,6 +410,14 @@ impl BoundProblem {
     pub fn views(&self) -> &[(String, FormatView)] {
         &self.views
     }
+
+    /// The plan-cache key of compiling this problem under `opts`. The
+    /// same key names the kernel's on-disk artifact (plus ABI/toolchain
+    /// salt added by the kernel store): identical compiles reload
+    /// identical binaries, across processes.
+    pub(crate) fn cache_key(&self, opts: &SynthOptions) -> String {
+        plan_cache_key(&self.program, &self.views, opts)
+    }
 }
 
 /// The outcome of a successful search: ranked candidates plus the
@@ -375,24 +435,6 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Assembles a kernel from a finished search; shared by
-    /// [`Session::compile`] and [`crate::service::Service::compile`].
-    /// Callers must have rejected empty candidate lists already
-    /// ([`SynthError::NoLegalPlan`]).
-    pub(crate) fn from_parts(
-        program: Program,
-        view_map: HashMap<String, FormatView>,
-        report: SearchReport,
-        cache_key: String,
-    ) -> CompiledKernel {
-        CompiledKernel {
-            program,
-            view_map,
-            report,
-            cache_key,
-        }
-    }
-
     /// The cheapest legal, zero-safe candidate.
     pub fn best(&self) -> &Candidate {
         // Internal invariant: `Session::compile` errors with
@@ -530,23 +572,6 @@ impl CompiledKernel {
         Ok(crate::emit::emit_module(
             &self.program,
             self.plan(),
-            &self.view_map,
-            fn_name,
-        )?)
-    }
-
-    /// Specializes the `i`-th ranked candidate's plan to a bare Rust
-    /// function (no module wrapper).
-    pub fn emit_candidate(&self, i: usize, fn_name: &str) -> Result<String, SynthError> {
-        let c = self.report.candidates.get(i).ok_or_else(|| {
-            SynthError::Emit(crate::emit::EmitError(format!(
-                "candidate index {i} out of range ({} candidates)",
-                self.report.candidates.len()
-            )))
-        })?;
-        Ok(crate::emit::emit_rust(
-            &self.program,
-            &c.plan,
             &self.view_map,
             fn_name,
         )?)

@@ -3,9 +3,10 @@
 //! executor (DESIGN.md property P3).
 
 use bernoulli_formats::convert::AnyFormat;
+use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{gen, Triplets};
 use bernoulli_ir::{parse_program, run_dense, DenseEnv, Program};
-use bernoulli_synth::{run_plan, synthesize, ExecEnv, SynthOptions};
+use bernoulli_synth::{run_plan, CompiledKernel, ExecEnv, Session, SynthError, SynthOptions};
 
 const TS: &str = r#"
     program ts(N) {
@@ -33,6 +34,16 @@ const MVM: &str = r#"
     }
 "#;
 
+/// Compiles `p` over `views` on a fresh session.
+fn compile(
+    p: &Program,
+    views: &[(&str, FormatView)],
+    opts: SynthOptions,
+) -> Result<CompiledKernel, SynthError> {
+    let s = Session::with_options(opts);
+    s.compile(&s.bind(p, views)?)
+}
+
 fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
     a.len() == b.len()
         && a.iter()
@@ -48,7 +59,7 @@ fn check_ts(format: &str, t: &Triplets<f64>) {
     let f = AnyFormat::from_triplets(format, t);
     let view = f.as_view().format_view();
 
-    let synth = synthesize(&p, &[("L", view)], &SynthOptions::default())
+    let synth = compile(&p, &[("L", view)], SynthOptions::default())
         .unwrap_or_else(|e| panic!("{format}: synthesis failed: {e}"));
 
     // Reference.
@@ -66,8 +77,8 @@ fn check_ts(format: &str, t: &Triplets<f64>) {
     penv.set_param("N", n as i64);
     penv.bind_vec("b", b0);
     penv.bind_sparse("L", f.as_view());
-    run_plan(&synth.plan, &mut penv)
-        .unwrap_or_else(|e| panic!("{format}: plan failed: {e}\nplan:\n{}", synth.plan));
+    run_plan(synth.plan(), &mut penv)
+        .unwrap_or_else(|e| panic!("{format}: plan failed: {e}\nplan:\n{}", synth.plan()));
     let got = penv.take_vec("b");
 
     assert!(
@@ -75,7 +86,7 @@ fn check_ts(format: &str, t: &Triplets<f64>) {
         "{format}: mismatch\nexpect {:?}\ngot    {:?}\nplan:\n{}",
         &expect[..expect.len().min(8)],
         &got[..got.len().min(8)],
-        synth.plan
+        synth.plan()
     );
 }
 
@@ -85,7 +96,7 @@ fn check_mvm(format: &str, t: &Triplets<f64>) {
     let f = AnyFormat::from_triplets(format, t);
     let view = f.as_view().format_view();
 
-    let synth = synthesize(&p, &[("A", view)], &SynthOptions::default())
+    let synth = compile(&p, &[("A", view)], SynthOptions::default())
         .unwrap_or_else(|e| panic!("{format}: synthesis failed: {e}"));
 
     let dense = bernoulli_formats::Dense::from_triplets(t);
@@ -106,8 +117,8 @@ fn check_mvm(format: &str, t: &Triplets<f64>) {
     penv.bind_vec("x", x);
     penv.bind_vec("y", y0);
     penv.bind_sparse("A", f.as_view());
-    run_plan(&synth.plan, &mut penv)
-        .unwrap_or_else(|e| panic!("{format}: plan failed: {e}\nplan:\n{}", synth.plan));
+    run_plan(synth.plan(), &mut penv)
+        .unwrap_or_else(|e| panic!("{format}: plan failed: {e}\nplan:\n{}", synth.plan()));
     let got = penv.take_vec("y");
 
     assert!(
@@ -115,7 +126,7 @@ fn check_mvm(format: &str, t: &Triplets<f64>) {
         "{format}: mismatch\nexpect {:?}\ngot    {:?}\nplan:\n{}",
         &expect[..expect.len().min(8)],
         &got[..got.len().min(8)],
-        synth.plan
+        synth.plan()
     );
 }
 
@@ -212,7 +223,6 @@ fn mvm_empty_matrix() {
 /// the iteration-centric fallback when both are in the candidate set.
 #[test]
 fn cost_model_prefers_data_centric() {
-    use bernoulli_synth::synthesize_all;
     let p = parse_program(MVM).unwrap();
     let t = gen::random_sparse(64, 64, 400, 7);
     let f = AnyFormat::from_triplets("csr", &t);
@@ -224,7 +234,8 @@ fn cost_model_prefers_data_centric() {
             .with_matrix("A", 64.0, 64.0, 400.0),
         ..SynthOptions::default()
     };
-    let (cands, _, _) = synthesize_all(&p, &[("A", f.as_view().format_view())], &opts).unwrap();
+    let kernel = compile(&p, &[("A", f.as_view().format_view())], opts).unwrap();
+    let cands = kernel.candidates();
     assert!(cands.len() >= 2, "need both plan families");
     use bernoulli_synth::plan::StepKind;
     let is_data_centric = |plan: &bernoulli_synth::Plan| {

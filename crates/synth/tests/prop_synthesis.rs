@@ -4,10 +4,20 @@
 //! randomized property).
 
 use bernoulli_formats::convert::AnyFormat;
+use bernoulli_formats::view::FormatView;
 use bernoulli_formats::Triplets;
 use bernoulli_ir::{parse_program, run_dense, DenseEnv, Program};
-use bernoulli_synth::{run_plan, synthesize, ExecEnv, SynthOptions};
+use bernoulli_synth::{run_plan, CompiledKernel, ExecEnv, Session, SynthError};
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// Compiles `p` over `views` on one session shared by every case: the
+/// views carry structure, not values, so later cases hit its plan cache.
+fn compile(p: &Program, views: &[(&str, FormatView)]) -> Result<CompiledKernel, SynthError> {
+    static SESSION: OnceLock<Session> = OnceLock::new();
+    let s = SESSION.get_or_init(Session::new);
+    s.compile(&s.bind(p, views)?)
+}
 
 fn mvm_spec() -> Program {
     parse_program(
@@ -71,7 +81,7 @@ proptest! {
 
         for fmt in ["csr", "coo", "dia", "jad", "ell"] {
             let f = AnyFormat::from_triplets(fmt, &t);
-            let s = synthesize(&spec, &[("A", f.as_view().format_view())], &SynthOptions::default())
+            let s = compile(&spec, &[("A", f.as_view().format_view())])
                 .unwrap_or_else(|e| panic!("{fmt}: {e}"));
             let mut penv = ExecEnv::new();
             penv.set_param("M", n as i64);
@@ -79,12 +89,12 @@ proptest! {
             penv.bind_vec("x", x.clone());
             penv.bind_vec("y", vec![0.0; n]);
             penv.bind_sparse("A", f.as_view());
-            run_plan(&s.plan, &mut penv).unwrap();
+            run_plan(s.plan(), &mut penv).unwrap();
             let got = penv.take_vec("y");
             for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
                 prop_assert!(
                     (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
-                    "{fmt} element {i}: {a} vs {b}\nplan:\n{}", s.plan
+                    "{fmt} element {i}: {a} vs {b}\nplan:\n{}", s.plan()
                 );
             }
         }
@@ -105,18 +115,18 @@ proptest! {
 
         for fmt in ["csr", "csc", "jad", "dia"] {
             let f = AnyFormat::from_triplets(fmt, &l);
-            let s = synthesize(&spec, &[("L", f.as_view().format_view())], &SynthOptions::default())
+            let s = compile(&spec, &[("L", f.as_view().format_view())])
                 .unwrap_or_else(|e| panic!("{fmt}: {e}"));
             let mut penv = ExecEnv::new();
             penv.set_param("N", n as i64);
             penv.bind_vec("b", b0.clone());
             penv.bind_sparse("L", f.as_view());
-            run_plan(&s.plan, &mut penv).unwrap();
+            run_plan(s.plan(), &mut penv).unwrap();
             let got = penv.take_vec("b");
             for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
                 prop_assert!(
                     (a - b).abs() <= 1e-8 * (1.0 + b.abs()),
-                    "{fmt} element {i}: {a} vs {b}\nplan:\n{}", s.plan
+                    "{fmt} element {i}: {a} vs {b}\nplan:\n{}", s.plan()
                 );
             }
         }

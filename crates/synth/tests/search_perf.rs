@@ -4,12 +4,10 @@
 //! must stay deduplicated and bounded.
 
 use bernoulli_formats::convert::AnyFormat;
+use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{gen, Triplets};
 use bernoulli_ir::{parse_program, Program};
-use bernoulli_synth::{
-    plan_cache_clear, plan_cache_stats, synthesize_all_report, SynthOptions, WorkloadStats,
-};
-use std::sync::Mutex;
+use bernoulli_synth::{SearchReport, Session, SynthOptions, WorkloadStats};
 
 const TS: &str = r#"
     program ts(N) {
@@ -37,10 +35,16 @@ const MVM: &str = r#"
     }
 "#;
 
-/// The plan cache is process-global and this binary's tests run
-/// concurrently, so the test that asserts on its hit/miss counters
-/// takes this lock; every other test here disables `cache_plans`.
-static PLAN_CACHE_LOCK: Mutex<()> = Mutex::new(());
+/// The search report of compiling `p` over `views` on `s`.
+fn search(
+    s: &Session,
+    p: &Program,
+    views: &[(&str, FormatView)],
+    opts: &SynthOptions,
+) -> SearchReport {
+    let bound = s.bind(p, views).unwrap();
+    s.compile_with(&bound, opts).unwrap().report().clone()
+}
 
 fn lower_triangular(n: usize) -> Triplets<f64> {
     let dense = gen::random_sparse(n, n, 4 * n, 11);
@@ -88,7 +92,7 @@ fn degenerate_stats_do_not_panic() {
         cache_plans: false,
         ..SynthOptions::default()
     };
-    let rep = synthesize_all_report(&p, &[("A", view)], &opts).unwrap();
+    let rep = search(&Session::new(), &p, &[("A", view)], &opts);
     assert!(
         !rep.candidates.is_empty(),
         "NaN statistics still admit structurally legal plans"
@@ -111,9 +115,7 @@ fn degenerate_stats_do_not_panic() {
 /// results.
 #[test]
 fn plan_cache_second_identical_call_is_pure_hit() {
-    let _g = PLAN_CACHE_LOCK.lock().unwrap();
-    plan_cache_clear();
-
+    let s = Session::new();
     let (p, views) = ts_on("csr");
     let opts = SynthOptions {
         stats: WorkloadStats::default()
@@ -122,14 +124,14 @@ fn plan_cache_second_identical_call_is_pure_hit() {
         ..SynthOptions::default()
     };
 
-    let first = synthesize_all_report(&p, &views, &opts).unwrap();
+    let first = search(&s, &p, &views, &opts);
     assert!(!first.plan_cache_hit, "cold call cannot hit the cache");
-    let cold = plan_cache_stats();
+    let cold = s.plan_cache_stats();
     assert_eq!((cold.hits, cold.misses), (0, 1));
 
-    let second = synthesize_all_report(&p, &views, &opts).unwrap();
+    let second = search(&s, &p, &views, &opts);
     assert!(second.plan_cache_hit, "identical call must hit the cache");
-    let warm = plan_cache_stats();
+    let warm = s.plan_cache_stats();
     assert_eq!((warm.hits, warm.misses), (1, 1), "second call: pure hit");
     assert!((warm.hit_rate() - 0.5).abs() < 1e-12);
 
@@ -147,11 +149,11 @@ fn plan_cache_second_identical_call_is_pure_hit() {
         keep: 7,
         ..opts.clone()
     };
-    let third = synthesize_all_report(&p, &views, &other).unwrap();
+    let third = search(&s, &p, &views, &other);
     assert!(!third.plan_cache_hit, "different knobs must miss");
 
-    plan_cache_clear();
-    let reset = plan_cache_stats();
+    s.clear_caches();
+    let reset = s.plan_cache_stats();
     assert_eq!((reset.hits, reset.misses), (0, 0));
 }
 
@@ -167,7 +169,7 @@ fn rejection_reasons_are_deduplicated_and_capped() {
         cache_plans: false,
         ..SynthOptions::default()
     };
-    let rep = synthesize_all_report(&p, &views, &opts).unwrap();
+    let rep = search(&Session::new(), &p, &views, &opts);
     assert!(
         rep.examined > rep.candidates.len(),
         "ts/jad rejects embeddings, so reasons have something to record"

@@ -105,9 +105,9 @@ fn concurrent_clients_share_the_plan_cache() {
 }
 
 #[test]
-fn isolated_and_overlay_modes_match_shared_mode_output() {
+fn isolated_mode_matches_shared_mode_output() {
     let mut reference = None;
-    for mode in [CacheMode::Shared, CacheMode::Overlay, CacheMode::Isolated] {
+    for mode in [CacheMode::Shared, CacheMode::Isolated] {
         let svc = Service::new(ServiceConfig {
             cache_mode: mode,
             ..ServiceConfig::default()

@@ -207,6 +207,6 @@ pub mod prelude {
         Triplets, Vbr,
     };
     pub use bernoulli_ir::{parse_program, Program};
-    pub use bernoulli_synth::{run_plan, synthesize, ExecEnv, SearchReport, SynthOptions};
+    pub use bernoulli_synth::{run_plan, ExecEnv, SearchReport, SynthOptions};
     pub use bernoulli_synth::{KernelArg, KernelBackend, KernelStore, LoadError, LoadedKernel};
 }

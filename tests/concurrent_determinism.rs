@@ -96,7 +96,7 @@ fn concurrent_compiles_match_sequential_baseline_at_every_pool_size() {
 #[test]
 fn concurrent_compiles_deterministic_under_every_cache_mode() {
     let baseline = sequential_baseline();
-    for mode in [CacheMode::Shared, CacheMode::Overlay, CacheMode::Isolated] {
+    for mode in [CacheMode::Shared, CacheMode::Isolated] {
         let svc = Service::new(ServiceConfig {
             threads: Some(2),
             cache_mode: mode,
