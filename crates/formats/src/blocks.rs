@@ -40,14 +40,100 @@ pub fn block_fill<T: Scalar>(t: &Triplets<T>, r: usize, c: usize) -> BlockReport
         t.nrows(),
         t.ncols()
     );
-    let mut t = t.clone();
-    t.normalize();
-    let mut blocks: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-    for &(row, col, _) in t.entries() {
-        blocks.insert((row / r, col / c));
+    let pos = t.sorted_positions();
+    let mut mark = vec![0; t.ncols() / c];
+    let blocks = count_blocks(&pos, r, c, &mut mark, f64::NEG_INFINITY);
+    report(r, c, blocks, pos.len())
+}
+
+/// Finds the dominant block size: the largest-area `r x c` (with
+/// `r, c <= max`, both dividing the matrix shape) whose fill is at least
+/// `min_fill`. Ties on area prefer the squarer (then taller) shape. The
+/// `1 x 1` blocking has fill 1.0 by construction, so a result always
+/// exists when `min_fill <= 1.0`.
+pub fn discover_block_size<T: Scalar>(t: &Triplets<T>, max: usize, min_fill: f64) -> BlockReport {
+    let pos = t.sorted_positions();
+    discover_sorted(&pos, t.nrows(), t.ncols(), max, min_fill)
+        .unwrap_or_else(|| report(1, 1, t.nnz(), t.nnz()))
+}
+
+/// [`discover_block_size`] over the sorted, distinct positions of an
+/// `nrows x ncols` matrix; `None` when no shape clears `min_fill`.
+///
+/// Each shape costs at most one pass over `pos`, and usually much less:
+/// a shape whose `(area, squareness)` cannot beat the best one so far is
+/// not counted at all, and counting stops once the fill has dropped
+/// below `min_fill` — it only falls as more blocks turn up.
+pub(crate) fn discover_sorted(
+    pos: &[(usize, usize)],
+    nrows: usize,
+    ncols: usize,
+    max: usize,
+    min_fill: f64,
+) -> Option<BlockReport> {
+    // Squarer shapes win area ties: minimize |r - c|.
+    let rank = |r: usize, c: usize| (r * c, usize::MAX - r.abs_diff(c), r);
+    let nnz = pos.len();
+    let mut mark = vec![0; ncols];
+    let mut best: Option<BlockReport> = None;
+    for r in 1..=max.min(nrows.max(1)) {
+        if !nrows.is_multiple_of(r) {
+            continue;
+        }
+        for c in 1..=max.min(ncols.max(1)) {
+            if !ncols.is_multiple_of(c) {
+                continue;
+            }
+            if best.is_some_and(|b| rank(b.r, b.c) >= rank(r, c)) {
+                continue;
+            }
+            let blocks = count_blocks(pos, r, c, &mut mark[..ncols / c], min_fill);
+            let rep = report(r, c, blocks, nnz);
+            if rep.fill + 1e-12 < min_fill {
+                continue;
+            }
+            best = Some(rep);
+        }
     }
-    let stored_cells = blocks.len() * r * c;
-    let source_nnz = t.nnz();
+    best
+}
+
+/// Distinct `r x c` blocks the row-major sorted, distinct `pos` touch.
+/// Counting stops as soon as the fill drops below `min_fill`, since more
+/// blocks can only lower it; the partial count then fails the same test.
+/// `mark` (length `ncols / c`) is scratch: `mark[block column]` holds the
+/// last block row seen there, which suffices because block rows arrive
+/// in order.
+fn count_blocks(
+    pos: &[(usize, usize)],
+    r: usize,
+    c: usize,
+    mark: &mut [usize],
+    min_fill: f64,
+) -> usize {
+    mark.fill(usize::MAX);
+    let mut blocks = 0usize;
+    let (mut last_row, mut br) = (usize::MAX, 0);
+    for &(row, col) in pos {
+        if row != last_row {
+            (last_row, br) = (row, row / r);
+        }
+        let bc = col / c;
+        if mark[bc] != br {
+            mark[bc] = br;
+            blocks += 1;
+            if report(r, c, blocks, pos.len()).fill + 1e-12 < min_fill {
+                break;
+            }
+        }
+    }
+    blocks
+}
+
+/// The report of `blocks` touched `r x c` blocks covering `source_nnz`
+/// entries.
+pub(crate) fn report(r: usize, c: usize, blocks: usize, source_nnz: usize) -> BlockReport {
+    let stored_cells = blocks * r * c;
     BlockReport {
         r,
         c,
@@ -59,43 +145,6 @@ pub fn block_fill<T: Scalar>(t: &Triplets<T>, r: usize, c: usize) -> BlockReport
             source_nnz as f64 / stored_cells as f64
         },
     }
-}
-
-/// Finds the dominant block size: the largest-area `r x c` (with
-/// `r, c <= max`, both dividing the matrix shape) whose fill is at least
-/// `min_fill`. Ties on area prefer the squarer (then taller) shape. The
-/// `1 x 1` blocking has fill 1.0 by construction, so a result always
-/// exists when `min_fill <= 1.0`.
-pub fn discover_block_size<T: Scalar>(t: &Triplets<T>, max: usize, min_fill: f64) -> BlockReport {
-    let mut best: Option<BlockReport> = None;
-    for r in 1..=max.min(t.nrows().max(1)) {
-        if !t.nrows().is_multiple_of(r) {
-            continue;
-        }
-        for c in 1..=max.min(t.ncols().max(1)) {
-            if !t.ncols().is_multiple_of(c) {
-                continue;
-            }
-            let rep = block_fill(t, r, c);
-            if rep.fill + 1e-12 < min_fill {
-                continue;
-            }
-            let area = |b: &BlockReport| b.r * b.c;
-            // Squarer shapes win area ties: minimize |r - c|.
-            let tie = |b: &BlockReport| (usize::MAX - b.r.abs_diff(b.c), b.r);
-            match &best {
-                Some(b) if (area(b), tie(b)) >= (area(&rep), tie(&rep)) => {}
-                _ => best = Some(rep),
-            }
-        }
-    }
-    best.unwrap_or(BlockReport {
-        r: 1,
-        c: 1,
-        stored_cells: t.nnz(),
-        source_nnz: t.nnz(),
-        fill: 1.0,
-    })
 }
 
 /// Finds the natural VBR strips of a matrix: maximal runs of consecutive

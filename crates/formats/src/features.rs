@@ -10,11 +10,10 @@
 //! triangle. Everything is deterministic, so derived cost-model inputs
 //! hash stably into plan-cache keys.
 
-use crate::blocks::{discover_block_size, BlockReport};
+use crate::blocks::{discover_sorted, report, BlockReport};
 use crate::convert::AnyFormat;
 use crate::scalar::Scalar;
 use crate::Triplets;
-use std::collections::HashSet;
 
 /// Largest block edge probed by [`StructureFeatures::block`] discovery.
 pub const BLOCK_PROBE_MAX: usize = 8;
@@ -23,8 +22,12 @@ pub const BLOCK_PROBE_MIN_FILL: f64 = 0.9;
 
 /// Structural summary of one sparse instance.
 ///
-/// Computed in a single pass over the (normalized) entries, plus the
-/// block-shape probe. All scores are in `[0, 1]` unless noted.
+/// Computed from the sorted, distinct positions (a sort that is linear
+/// on already-normalized input): one pass over the rows gives the
+/// profile, triangularity, level schedule and symmetry (each mirror is a
+/// binary search within its row), and the block-shape probe adds at most
+/// one pass per probed shape, usually far less. Nothing is hashed and no
+/// values are copied. All scores are in `[0, 1]` unless noted.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StructureFeatures {
     /// Rows of the enveloping dense matrix.
@@ -68,61 +71,67 @@ pub struct StructureFeatures {
 impl StructureFeatures {
     /// Analyzes a triplet instance.
     pub fn of_triplets<T: Scalar>(t: &Triplets<T>) -> StructureFeatures {
-        let mut t = t.clone();
-        t.normalize();
-        let (nrows, ncols, nnz) = (t.nrows(), t.ncols(), t.nnz());
+        let pos = t.sorted_positions();
+        let (nrows, ncols, nnz) = (t.nrows(), t.ncols(), pos.len());
         let cells = nrows as f64 * ncols as f64;
         let min_dim = nrows.min(ncols);
 
-        let positions: HashSet<(usize, usize)> =
-            t.entries().iter().map(|&(r, c, _)| (r, c)).collect();
+        // Row `r` occupies `pos[row_ptr[r]..row_ptr[r + 1]]`, sorted by
+        // column.
+        let mut row_ptr = vec![0usize; nrows + 1];
+        for &(r, _) in &pos {
+            row_ptr[r + 1] += 1;
+        }
+        for r in 0..nrows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let row = |r: usize| &pos[row_ptr[r]..row_ptr[r + 1]];
 
-        let mut row_nnz = vec![0usize; nrows];
-        let mut row_first = vec![usize::MAX; nrows];
-        let mut row_last = vec![0usize; nrows];
-        // Level of each row in the strictly-lower dependence DAG. Entries
-        // are row-major sorted after normalize, so when row `r` is
-        // processed every dependency row `c < r` already has its final
-        // level — one pass suffices.
+        // Level of each row in the strictly-lower dependence DAG. Rows
+        // are visited in order, so when row `r` is processed every
+        // dependency row `c < r` already has its final level — one pass
+        // suffices.
         let mut level = vec![0usize; nrows];
+        let mut level_depth = 0usize;
+        let mut max_row_nnz = 0usize;
+        let mut profile_sum = 0.0;
+        let mut nonempty = 0usize;
         let mut bandwidth = 0usize;
         let mut diag = 0usize;
         let mut off_diag = 0usize;
         let mut mirrored = 0usize;
         let mut lower = true;
         let mut upper = true;
-        for &(r, c, _) in t.entries() {
-            row_nnz[r] += 1;
-            row_first[r] = row_first[r].min(c);
-            row_last[r] = row_last[r].max(c);
-            bandwidth = bandwidth.max(r.abs_diff(c));
-            if r == c {
-                diag += 1;
-            } else {
-                off_diag += 1;
-                if positions.contains(&(c, r)) {
-                    mirrored += 1;
-                }
-                if r < c {
-                    lower = false;
-                } else {
-                    upper = false;
-                }
-            }
-            if level[r] == 0 {
-                level[r] = 1;
-            }
-            if c < r {
-                level[r] = level[r].max(level[c] + 1);
-            }
-        }
-        let mut profile_sum = 0.0;
-        let mut nonempty = 0usize;
         for r in 0..nrows {
-            if row_nnz[r] > 0 {
-                nonempty += 1;
-                profile_sum += (row_last[r] - row_first[r] + 1) as f64;
+            let entries = row(r);
+            let (Some(&(_, first)), Some(&(_, last))) = (entries.first(), entries.last()) else {
+                continue;
+            };
+            max_row_nnz = max_row_nnz.max(entries.len());
+            nonempty += 1;
+            profile_sum += (last - first + 1) as f64;
+            level[r] = 1;
+            for &(_, c) in entries {
+                bandwidth = bandwidth.max(r.abs_diff(c));
+                if r == c {
+                    diag += 1;
+                } else {
+                    off_diag += 1;
+                    // The mirror `(c, r)`: a binary search in row `c`.
+                    if c < nrows && row(c).binary_search(&(c, r)).is_ok() {
+                        mirrored += 1;
+                    }
+                    if r < c {
+                        lower = false;
+                    } else {
+                        upper = false;
+                    }
+                }
+                if c < r {
+                    level[r] = level[r].max(level[c] + 1);
+                }
             }
+            level_depth = level_depth.max(level[r]);
         }
 
         StructureFeatures {
@@ -131,7 +140,7 @@ impl StructureFeatures {
             nnz,
             density: if cells > 0.0 { nnz as f64 / cells } else { 0.0 },
             avg_row_nnz: nnz as f64 / nrows.max(1) as f64,
-            max_row_nnz: row_nnz.iter().copied().max().unwrap_or(0),
+            max_row_nnz,
             bandwidth,
             profile: if nonempty > 0 {
                 profile_sum / nonempty as f64
@@ -150,8 +159,9 @@ impl StructureFeatures {
             },
             lower_triangular: lower,
             upper_triangular: upper,
-            block: discover_block_size(&t, BLOCK_PROBE_MAX, BLOCK_PROBE_MIN_FILL),
-            level_depth: level.iter().copied().max().unwrap_or(0),
+            block: discover_sorted(&pos, nrows, ncols, BLOCK_PROBE_MAX, BLOCK_PROBE_MIN_FILL)
+                .unwrap_or(report(1, 1, nnz, nnz)),
+            level_depth,
         }
     }
 

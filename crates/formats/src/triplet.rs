@@ -95,6 +95,15 @@ impl<T: Scalar> Triplets<T> {
         self.entries = out;
     }
 
+    /// The distinct stored positions, sorted row-major — the structure
+    /// [`normalize`](Self::normalize) would leave, without the values.
+    pub(crate) fn sorted_positions(&self) -> Vec<(usize, usize)> {
+        let mut pos: Vec<(usize, usize)> = self.entries.iter().map(|&(r, c, _)| (r, c)).collect();
+        pos.sort_unstable();
+        pos.dedup();
+        pos
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows

@@ -348,10 +348,10 @@ pub(crate) fn run_search(
 
     let key = opts.cache_plans.then_some(key);
     if let Some(k) = key {
-        if let Some(c) = cache.lock().get(k).cloned() {
+        if let Some(c) = cache.get(k) {
             cache.hits.fetch_add(1, Ordering::Relaxed);
             bernoulli_trace::counter!("synth.plan_cache_hits");
-            return Ok(c.into_hit(false));
+            return Ok(c.to_hit(false));
         }
         cache.misses.fetch_add(1, Ordering::Relaxed);
         bernoulli_trace::counter!("synth.plan_cache_misses");
@@ -361,8 +361,9 @@ pub(crate) fn run_search(
         if let Some(ps) = persist {
             if let Some(c) = ps.load(k) {
                 bernoulli_trace::counter!("synth.plan_cache_disk_hits");
-                cache.insert(k, c.clone());
-                return Ok(c.into_hit(true));
+                let c = Arc::new(c);
+                cache.insert(k, Arc::clone(&c));
+                return Ok(c.to_hit(true));
             }
         }
     }
@@ -673,7 +674,7 @@ pub(crate) fn run_search(
         if let Some(ps) = persist {
             ps.store(k, &entry, p, view_map);
         }
-        cache.insert(k, entry);
+        cache.insert(k, Arc::new(entry));
     }
     Ok(SearchReport {
         candidates: out,
@@ -691,7 +692,6 @@ pub(crate) fn run_search(
 // ---------------------------------------------------------------------
 // Whole-search plan cache.
 
-#[derive(Clone)]
 pub(crate) struct CachedSearch {
     pub(crate) candidates: Vec<Candidate>,
     pub(crate) examined: usize,
@@ -703,12 +703,12 @@ impl CachedSearch {
     /// The report of a plan-cache hit (`disk`: from the persistent
     /// tier). Only complete (never degraded) searches are cached, so a
     /// hit is a full result even if the current budget is spent.
-    fn into_hit(self, disk: bool) -> SearchReport {
+    fn to_hit(&self, disk: bool) -> SearchReport {
         SearchReport {
-            candidates: self.candidates,
+            candidates: self.candidates.clone(),
             examined: self.examined,
             pruned: self.pruned,
-            reasons: self.reasons,
+            reasons: self.reasons.clone(),
             plan_cache_hit: true,
             plan_cache_disk_hit: disk,
             degraded: false,
@@ -718,22 +718,32 @@ impl CachedSearch {
     }
 }
 
-/// Cached whole-search results; cleared wholesale when full.
+/// Cached whole-search results. A new key inserted into a full cache
+/// evicts the least recently used entry: an `O(PLAN_CACHE_CAP)` scan,
+/// paid only by that insert, while hits stay `O(1)`.
 const PLAN_CACHE_CAP: usize = 128;
 
 /// One whole-search memo cache with hit/miss accounting. Each
 /// [`Session`](crate::session::Session) owns its own, making warm/cold
 /// behavior explicit per session.
 pub(crate) struct PlanCache {
-    map: Mutex<HashMap<String, CachedSearch>>,
+    map: Mutex<Lru>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// The entries behind the [`PlanCache`] lock, each stamped with the
+/// `tick` of its last use.
+#[derive(Default)]
+struct Lru {
+    tick: u64,
+    entries: HashMap<String, (u64, Arc<CachedSearch>)>,
 }
 
 impl PlanCache {
     pub(crate) fn new() -> PlanCache {
         PlanCache {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(Lru::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -741,19 +751,39 @@ impl PlanCache {
 
     /// Poison-tolerant lock: a panic mid-insert leaves at worst a
     /// missing memo entry, never a wrong one.
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, CachedSearch>> {
+    fn lock(&self) -> MutexGuard<'_, Lru> {
         match self.map.lock() {
             Ok(g) => g,
             Err(poison) => poison.into_inner(),
         }
     }
 
-    fn insert(&self, k: &str, v: CachedSearch) {
+    /// The entry under `k`, marked most recently used. Only the `Arc`
+    /// is cloned under the lock; callers copy the candidates after it
+    /// is released.
+    fn get(&self, k: &str) -> Option<Arc<CachedSearch>> {
         let mut g = self.lock();
-        if g.len() >= PLAN_CACHE_CAP {
-            g.clear();
+        let Lru { tick, entries } = &mut *g;
+        let (used, entry) = entries.get_mut(k)?;
+        *tick += 1;
+        *used = *tick;
+        Some(Arc::clone(entry))
+    }
+
+    fn insert(&self, k: &str, v: Arc<CachedSearch>) {
+        let mut g = self.lock();
+        let Lru { tick, entries } = &mut *g;
+        if entries.len() >= PLAN_CACHE_CAP && !entries.contains_key(k) {
+            let oldest = entries
+                .iter()
+                .min_by_key(|(_, (used, _))| *used)
+                .map(|(key, _)| key.clone());
+            if let Some(oldest) = oldest {
+                entries.remove(&oldest);
+            }
         }
-        g.insert(k.to_string(), v);
+        *tick += 1;
+        entries.insert(k.to_string(), (*tick, v));
     }
 
     pub(crate) fn stats(&self) -> PlanCacheStats {
@@ -764,7 +794,7 @@ impl PlanCache {
     }
 
     pub(crate) fn clear(&self) {
-        self.lock().clear();
+        self.lock().entries.clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }

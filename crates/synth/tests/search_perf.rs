@@ -182,3 +182,43 @@ fn rejection_reasons_are_deduplicated_and_capped() {
     }
     assert!(rep.reasons.len() <= 16, "reasons are capped");
 }
+
+/// A full plan cache evicts its least recently used entry: a key re-hit
+/// between inserts stays a memory hit through 2 x 128 compiles of other
+/// keys, while a key never touched again is evicted.
+#[test]
+fn plan_cache_evicts_least_recently_used() {
+    let s = Session::new();
+    let p = parse_program(MVM).unwrap();
+    let t = gen::random_sparse(12, 12, 40, 3);
+    let views = [(
+        "A",
+        AnyFormat::from_triplets("csr", &t).as_view().format_view(),
+    )];
+    let keyed = |n: usize| SynthOptions {
+        stats: WorkloadStats::default().with_param("N", n as f64),
+        ..SynthOptions::default()
+    };
+    let (hot, cold) = (keyed(1), keyed(2));
+    assert!(!search(&s, &p, &views, &hot).plan_cache_hit);
+    assert!(!search(&s, &p, &views, &cold).plan_cache_hit);
+    for i in 0..2 * 128 {
+        assert!(!search(&s, &p, &views, &keyed(10 + i)).plan_cache_hit);
+        let again = search(&s, &p, &views, &hot);
+        assert!(
+            again.plan_cache_hit && !again.plan_cache_disk_hit,
+            "the hot key must stay in memory (after {} other keys)",
+            i + 1
+        );
+    }
+    let stats = s.plan_cache_stats();
+    assert_eq!((stats.hits, stats.misses), (256, 2 + 256));
+    assert!(
+        !search(&s, &p, &views, &cold).plan_cache_hit,
+        "an untouched key is evicted"
+    );
+
+    s.clear_caches();
+    let reset = s.plan_cache_stats();
+    assert_eq!((reset.hits, reset.misses), (0, 0));
+}
